@@ -36,10 +36,12 @@ use crate::safety::SafetyViolation;
 use crate::trace::{SpanKind, TraceEvent, TraceHandle, TraceSink};
 use commopt_ir::analysis::expr_flops;
 use commopt_ir::{
-    CallKind, Expr, LoopEnv, Program, Rect, Region, ScalarRhs, Stmt, TransferId, MAX_RANK,
+    CallKind, Expr, LoopEnv, Offset, Program, Rect, Region, ScalarRhs, Stmt, TransferId, MAX_RANK,
 };
 use commopt_ironman::{Action, Binding, Library};
 use commopt_machine::{BlockDist, CommCosts, MachineSpec, ProcGrid, ProcId};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -148,14 +150,17 @@ struct InFlight {
 }
 
 impl InFlight {
-    /// Reinitializes this instance for a fresh SR, reusing the previous
-    /// instance's buffers. `data` is only sized in full mode — timing runs
-    /// never read it.
-    fn reset(&mut self, n: usize, recv_bytes: &[u64], active: bool, with_data: bool) {
+    /// Reinitializes this instance for a fresh SR carrying the messages of
+    /// `geom`, reusing the previous instance's buffers. `data` is only
+    /// sized in full mode — timing runs never read it.
+    fn reset(&mut self, n: usize, geom: &Geom, with_data: bool) {
         self.arrival.clear();
         self.arrival.resize(n, f64::NEG_INFINITY);
         self.recv_bytes.clear();
-        self.recv_bytes.extend_from_slice(recv_bytes);
+        self.recv_bytes.resize(n, 0);
+        for &(p, b) in geom.recv.iter() {
+            self.recv_bytes[p] = b;
+        }
         self.buf_free.clear();
         self.buf_free.resize(n, 0.0);
         self.sent.clear();
@@ -164,30 +169,54 @@ impl InFlight {
             self.data.clear();
             self.data.resize_with(n, Vec::new);
         }
-        self.retired = !active;
+        self.retired = !geom.active();
     }
 }
 
-/// Geometry of one transfer instance under the current loop environment.
+/// The inspected geometry of one transfer *shape*: what an instance moves
+/// under one evaluated set of regions. Computed once per shape by
+/// [`Simulator::geometry`] and reused by every call that meets the shape
+/// again. Sparse — only processors that take part are listed, each list in
+/// ascending processor order, which is the order the executor charges
+/// them in.
+#[derive(Default)]
 struct Geom {
-    /// Per proc: ghost slabs it receives, as (array index, rect).
-    slabs: Vec<Vec<(usize, Rect)>>,
-    /// Per proc: total bytes received.
-    bytes: Vec<u64>,
-    /// Per proc: readers it sends to, with message size.
-    outgoing: Vec<Vec<(ProcId, u64)>>,
+    /// Receiving processors, with the total bytes each receives.
+    recv: Box<[(ProcId, u64)]>,
+    /// One message per receiver, as `(sender, reader, bytes)`, in sender
+    /// order (readers ascending within a sender).
+    msgs: Box<[(ProcId, ProcId, u64)]>,
+    /// Processors that send or receive, with the bytes each receives.
+    partners: Box<[(ProcId, u64)]>,
+    /// Full mode only: the ghost slabs each receiver gets, as
+    /// `(receiver, array index, rect)` in receiver order.
+    slabs: Box<[(ProcId, usize, Rect)]>,
 }
 
 impl Geom {
     /// `true` when the instance moves data between some processor pair.
     fn active(&self) -> bool {
-        self.bytes.iter().any(|&b| b > 0)
+        !self.recv.is_empty()
     }
+}
 
-    /// `true` when processor `p` sends or receives data this instance.
-    fn exchanges(&self, p: ProcId) -> bool {
-        self.bytes[p] > 0 || !self.outgoing[p].is_empty()
-    }
+/// The inspected compute charges of one statement rect: each processor
+/// whose local section is non-empty, with its element count, ascending.
+type Charges = Rc<[(ProcId, u64)]>;
+
+/// One part of a transfer's shape key: each item contributes a header
+/// followed by its evaluated regions.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum ShapePart {
+    /// `label` is the real array index in full mode (slabs name arrays)
+    /// and the index of the array's first item in timing mode, so that
+    /// transfers of same-shaped arrays share one entry.
+    Item {
+        label: usize,
+        dist: usize,
+        offset: Offset,
+    },
+    Region(Rect),
 }
 
 /// One processor's immutable view of every array, for the evaluator.
@@ -213,8 +242,24 @@ pub struct Simulator<'p> {
     clocks: Vec<f64>,
     scalars: Vec<f64>,
     env: LoopEnv,
+    /// The distinct distributions of the program's arrays, in first-seen
+    /// order; `dist_of[a]` indexes array `a`'s.
     dists: Vec<BlockDist>,
+    dist_of: Vec<usize>,
+    /// Per distribution × proc (row-major, `dists × nprocs`): the block
+    /// each processor owns, computed once.
+    owned: Vec<Rect>,
     arrays: Vec<DistArray>,
+    /// Geometry inspector: transfer shape → inspected geometry. Every
+    /// shape that moves no data maps to the one `inactive` entry.
+    geoms: HashMap<Box<[ShapePart]>, Rc<Geom>>,
+    inactive: Rc<Geom>,
+    /// Scratch buffer the current call's shape key is built in.
+    shape: Vec<ShapePart>,
+    /// Compute-charge inspector: (distribution, statement rect) →
+    /// the processors whose local section is non-empty, with its element
+    /// count. Unlisted processors pay the guard cost only.
+    charges: HashMap<(usize, Rect), Charges>,
     /// Per transfer (indexed by `TransferId::index()` — the id space is
     /// exactly `program.transfers.len()`): the live in-flight instance,
     /// `None` before the first SR. A dense slab rather than a map, so the
@@ -266,10 +311,19 @@ impl<'p> Simulator<'p> {
         let binding = cfg.binding.unwrap_or_else(|| cfg.library.binding());
         let costs = *cfg.machine.costs(cfg.library);
         let ghosts = program.ghost_widths();
-        let dists: Vec<BlockDist> = program
+        let mut dists: Vec<BlockDist> = Vec::new();
+        let dist_of = program
             .arrays
             .iter()
-            .map(|a| BlockDist::new(grid, a.rect))
+            .map(|a| {
+                dists
+                    .iter()
+                    .position(|d| d.bounds == a.rect)
+                    .unwrap_or_else(|| {
+                        dists.push(BlockDist::new(grid, a.rect));
+                        dists.len() - 1
+                    })
+            })
             .collect();
         let arrays = if cfg.compute_data {
             program
@@ -283,6 +337,10 @@ impl<'p> Simulator<'p> {
         };
         let scalars = program.scalars.iter().map(|s| s.init).collect();
         let n = grid.len();
+        let owned = dists
+            .iter()
+            .flat_map(|d| (0..n).map(|p| d.owned(p)))
+            .collect();
         let faults = cfg
             .faults
             .is_active()
@@ -296,7 +354,13 @@ impl<'p> Simulator<'p> {
             scalars,
             env: LoopEnv::new(),
             dists,
+            dist_of,
+            owned,
             arrays,
+            geoms: HashMap::new(),
+            inactive: Rc::default(),
+            shape: Vec::new(),
+            charges: HashMap::new(),
             inflight: std::iter::repeat_with(|| None)
                 .take(program.transfers.len())
                 .collect(),
@@ -466,12 +530,14 @@ impl<'p> Simulator<'p> {
         let flops = f64::from(expr_flops(rhs));
         let flop_us = self.cfg.machine.flop_us;
         let cp = self.count_proc;
+        let charges = self.charges(lhs, rect);
+        let mut listed = charges.iter().peekable();
         for p in 0..self.grid.len() {
-            let local = rect.intersect(&self.dists[lhs].owned(p));
-            let dt = if local.is_empty() {
-                self.cfg.machine.guard_overhead_us
-            } else {
-                self.cfg.machine.stmt_overhead_us + local.count() as f64 * flops * flop_us
+            let dt = match listed.next_if(|&&(q, _)| q == p) {
+                Some(&(_, count)) => {
+                    self.cfg.machine.stmt_overhead_us + count as f64 * flops * flop_us
+                }
+                None => self.cfg.machine.guard_overhead_us,
             };
             let dt = self.fault_compute(p, dt);
             let t0 = self.clocks[p];
@@ -493,6 +559,33 @@ impl<'p> Simulator<'p> {
         if self.cfg.compute_data {
             self.compute_assign_data(rect, lhs, rhs);
         }
+    }
+
+    /// The blocks each processor owns of array `a`, by processor.
+    fn owned(&self, a: usize) -> &[Rect] {
+        let n = self.grid.len();
+        let d = self.dist_of[a];
+        &self.owned[d * n..(d + 1) * n]
+    }
+
+    /// The compute-charge inspector: per processor, the number of elements
+    /// of `rect` it owns in array `lhs`, listing only processors that own
+    /// some. Computed once per (distribution, rect).
+    fn charges(&mut self, lhs: usize, rect: Rect) -> Charges {
+        let key = (self.dist_of[lhs], rect);
+        if let Some(c) = self.charges.get(&key) {
+            return Rc::clone(c);
+        }
+        let c: Charges = self
+            .owned(lhs)
+            .iter()
+            .enumerate()
+            .map(|(p, owned)| (p, rect.intersect(owned)))
+            .filter(|(_, local)| !local.is_empty())
+            .map(|(p, local)| (p, local.count()))
+            .collect();
+        self.charges.insert(key, Rc::clone(&c));
+        c
     }
 
     /// Evaluates and commits an array assignment's numerics for every
@@ -517,7 +610,7 @@ impl<'p> Simulator<'p> {
         let rank = self.program.arrays[lhs].rect.rank;
         let d_last = rank - 1;
         for p in 0..self.grid.len() {
-            let local = rect.intersect(&self.arrays[lhs].dist.owned(p));
+            let local = rect.intersect(&self.owned(lhs)[p]);
             if local.is_empty() {
                 continue;
             }
@@ -549,15 +642,9 @@ impl<'p> Simulator<'p> {
     /// `A := B@off` (distinct arrays): memcpy each contiguous run straight
     /// from the source block — the same reads and writes as the buffered
     /// path, minus the intermediates.
-    fn copy_assign_data(
-        &mut self,
-        rect: Rect,
-        lhs: usize,
-        src: usize,
-        offset: &commopt_ir::Offset,
-    ) {
+    fn copy_assign_data(&mut self, rect: Rect, lhs: usize, src: usize, offset: &Offset) {
         for p in 0..self.grid.len() {
-            let local = rect.intersect(&self.arrays[lhs].dist.owned(p));
+            let local = rect.intersect(&self.owned(lhs)[p]);
             if local.is_empty() {
                 continue;
             }
@@ -615,7 +702,7 @@ impl<'p> Simulator<'p> {
                 // the first referenced array, falling back to a uniform
                 // split of the region itself.
                 let dist = first_array(expr)
-                    .map(|a| self.dists[a])
+                    .map(|a| self.dists[self.dist_of[a]])
                     .unwrap_or(BlockDist::new(self.grid, rect));
                 let rank = rect.rank;
                 for p in 0..self.grid.len() {
@@ -699,8 +786,10 @@ impl<'p> Simulator<'p> {
         }
         match action {
             Action::Noop => {}
-            Action::BlockingSend => self.do_send(tid, false),
-            Action::AsyncSend => self.do_send(tid, true),
+            // Asynchronous or not, injection consumes CPU — the Paragon's
+            // co-processor did not relieve the host (paper §3.2: async
+            // primitives do not reduce exposed overhead).
+            Action::BlockingSend | Action::AsyncSend => self.do_send(tid),
             Action::Put => self.do_put(tid),
             Action::PostRecv | Action::Probe => self.do_post(tid),
             Action::Sync => {
@@ -744,8 +833,51 @@ impl<'p> Simulator<'p> {
         Ok(())
     }
 
-    /// Computes the transfer's slab geometry under the current environment.
-    fn geometry(&self, tid: TransferId) -> Geom {
+    /// The transfer's geometry under the current environment: builds the
+    /// shape key (per item: label, distribution, offset, then every
+    /// evaluated region) and inspects the shape on first sight only.
+    fn geometry(&mut self, tid: TransferId) -> Rc<Geom> {
+        let program = self.program;
+        let items = &program.transfer(tid).items;
+        let mut key = std::mem::take(&mut self.shape);
+        key.clear();
+        for (i, item) in items.iter().enumerate() {
+            let a = item.array.index();
+            let label = if self.cfg.compute_data {
+                a
+            } else {
+                items[..i]
+                    .iter()
+                    .position(|it| it.array == item.array)
+                    .unwrap_or(i)
+            };
+            key.push(ShapePart::Item {
+                label,
+                dist: self.dist_of[a],
+                offset: item.offset,
+            });
+            key.extend(
+                item.regions
+                    .iter()
+                    .map(|r| ShapePart::Region(r.eval(&self.env))),
+            );
+        }
+        let geom = match self.geoms.get(key.as_slice()) {
+            Some(g) => Rc::clone(g),
+            None => {
+                let g = self.inspect(tid);
+                self.geoms.insert(key.as_slice().into(), Rc::clone(&g));
+                g
+            }
+        };
+        self.shape = key;
+        geom
+    }
+
+    /// The geometry inspector: computes which ghost slabs every processor
+    /// receives, from whom, and how many bytes, for the transfer under the
+    /// current environment.
+    fn inspect(&self, tid: TransferId) -> Rc<Geom> {
         let t = self.program.transfer(tid);
         let n = self.grid.len();
         let mut slabs: Vec<Vec<(usize, Rect)>> = vec![Vec::new(); n];
@@ -753,13 +885,13 @@ impl<'p> Simulator<'p> {
         let mut provider: Vec<Option<ProcId>> = vec![None; n];
         for item in &t.items {
             let a = item.array.index();
-            let dist = &self.dists[a];
+            let dist = &self.dists[self.dist_of[a]];
             let mut delta = [0i64; MAX_RANK];
             for d in 0..MAX_RANK {
                 delta[d] = i64::from(item.offset.get(d));
             }
             for p in 0..n {
-                let owned = dist.owned(p);
+                let owned = self.owned(a)[p];
                 if owned.is_empty() {
                     continue;
                 }
@@ -788,17 +920,37 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        let mut outgoing: Vec<Vec<(ProcId, u64)>> = vec![Vec::new(); n];
-        for p in 0..n {
-            if let Some(q) = provider[p] {
-                outgoing[q].push((p, bytes[p]));
-            }
+        // Every receiver has a provider: both are set with its first slab.
+        let mut msgs: Vec<(ProcId, ProcId, u64)> = (0..n)
+            .filter_map(|p| provider[p].map(|q| (q, p, bytes[p])))
+            .collect();
+        if msgs.is_empty() {
+            return Rc::clone(&self.inactive);
         }
-        Geom {
-            slabs,
-            bytes,
-            outgoing,
+        // Stable: readers stay ascending within each sender.
+        msgs.sort_by_key(|&(q, _, _)| q);
+        let mut sends = vec![false; n];
+        for &(q, _, _) in &msgs {
+            sends[q] = true;
         }
+        Rc::new(Geom {
+            recv: (0..n)
+                .filter(|&p| bytes[p] > 0)
+                .map(|p| (p, bytes[p]))
+                .collect(),
+            partners: (0..n)
+                .filter(|&p| bytes[p] > 0 || sends[p])
+                .map(|p| (p, bytes[p]))
+                .collect(),
+            msgs: msgs.into_boxed_slice(),
+            slabs: if self.cfg.compute_data {
+                (0..n)
+                    .flat_map(|p| slabs[p].iter().map(move |&(a, r)| (p, a, r)))
+                    .collect()
+            } else {
+                Box::default()
+            },
+        })
     }
 
     /// Metrics hook: one point-to-point message injected. Link busy time
@@ -816,29 +968,24 @@ impl<'p> Simulator<'p> {
     }
 
     /// SR under `csend`/`pvm_send` (blocking, buffered) or `isend`/`hsend`
-    /// (asynchronous: initiation only, injection by the co-processor).
-    fn do_send(&mut self, tid: TransferId, is_async: bool) {
+    /// (asynchronous: initiation only, injection by the co-processor) —
+    /// timed identically.
+    fn do_send(&mut self, tid: TransferId) {
         let geom = self.geometry(tid);
         self.check_overwrite(tid);
         let n = self.grid.len();
         // Reuse the previous instance's buffers; the steady-state loop
         // allocates nothing per SR.
         let mut fl = self.inflight[tid.index()].take().unwrap_or_default();
-        fl.reset(n, &geom.bytes, geom.active(), self.cfg.compute_data);
-        for p in 0..n {
-            for &(reader, b) in &geom.outgoing[p] {
-                // Asynchronous or not, injection consumes CPU — the
-                // Paragon's co-processor did not relieve the host (paper
-                // §3.2: async primitives do not reduce exposed overhead).
-                self.clocks[p] += self.costs.send_cpu_us(b);
-                self.cats[p].send_s += self.costs.send_cpu_us(b);
-                self.span_bytes[p] += b;
-                self.account_message(p, reader, b);
-                fl.arrival[reader] = self.clocks[p] + self.wire_time(b);
-                fl.buf_free[p] = self.clocks[p];
-                let _ = is_async;
-                fl.sent[p] = true;
-            }
+        fl.reset(n, &geom, self.cfg.compute_data);
+        for &(p, reader, b) in geom.msgs.iter() {
+            self.clocks[p] += self.costs.send_cpu_us(b);
+            self.cats[p].send_s += self.costs.send_cpu_us(b);
+            self.span_bytes[p] += b;
+            self.account_message(p, reader, b);
+            fl.arrival[reader] = self.clocks[p] + self.wire_time(b);
+            fl.buf_free[p] = self.clocks[p];
+            fl.sent[p] = true;
         }
         self.reorder(tid, &mut fl);
         if self.cfg.compute_data {
@@ -863,29 +1010,27 @@ impl<'p> Simulator<'p> {
             true
         };
         let mut fl = self.inflight[tid.index()].take().unwrap_or_default();
-        fl.reset(n, &geom.bytes, geom.active(), self.cfg.compute_data);
-        for p in 0..n {
-            for &(reader, b) in &geom.outgoing[p] {
-                if !was_ready {
-                    self.violations.push(SafetyViolation::PutBeforeReady {
-                        transfer: tid,
-                        sender: p,
-                        receiver: reader,
-                        at_us: self.clocks[p],
-                    });
-                }
-                // The reader's DR clock, straight from the slab (zero when
-                // no DR has run yet).
-                let start = self.clocks[p].max(self.dr_time[tid.index() * n + reader]);
-                self.cats[p].wait_s += start - self.clocks[p];
-                self.cats[p].send_s += self.costs.send_cpu_us(b);
-                self.span_bytes[p] += b;
-                self.account_message(p, reader, b);
-                self.clocks[p] = start + self.costs.send_cpu_us(b);
-                fl.arrival[reader] = self.clocks[p] + self.wire_time(b);
-                fl.buf_free[p] = self.clocks[p];
-                fl.sent[p] = true;
+        fl.reset(n, &geom, self.cfg.compute_data);
+        for &(p, reader, b) in geom.msgs.iter() {
+            if !was_ready {
+                self.violations.push(SafetyViolation::PutBeforeReady {
+                    transfer: tid,
+                    sender: p,
+                    receiver: reader,
+                    at_us: self.clocks[p],
+                });
             }
+            // The reader's DR clock, straight from the slab (zero when no
+            // DR has run yet).
+            let start = self.clocks[p].max(self.dr_time[tid.index() * n + reader]);
+            self.cats[p].wait_s += start - self.clocks[p];
+            self.cats[p].send_s += self.costs.send_cpu_us(b);
+            self.span_bytes[p] += b;
+            self.account_message(p, reader, b);
+            self.clocks[p] = start + self.costs.send_cpu_us(b);
+            fl.arrival[reader] = self.clocks[p] + self.wire_time(b);
+            fl.buf_free[p] = self.clocks[p];
+            fl.sent[p] = true;
         }
         self.reorder(tid, &mut fl);
         if self.cfg.compute_data {
@@ -897,27 +1042,24 @@ impl<'p> Simulator<'p> {
     /// Full mode: capture, per reader, the slab values as of SR time —
     /// gathered exactly from their owning blocks.
     fn snapshot(&mut self, geom: &Geom, fl: &mut InFlight) {
-        for p in 0..self.grid.len() {
-            for (a, rect) in &geom.slabs[p] {
-                let mut vals = Vec::with_capacity(rect.count() as usize);
-                rect.for_each(|idx| vals.push(self.arrays[*a].global_get(idx)));
-                fl.data[p].push((*a, *rect, vals));
-            }
+        for &(p, a, rect) in geom.slabs.iter() {
+            let mut vals = Vec::with_capacity(rect.count() as usize);
+            rect.for_each(|idx| vals.push(self.arrays[a].global_get(idx)));
+            fl.data[p].push((a, rect, vals));
         }
     }
 
     /// DR under `irecv`/`hprobe`: post the buffer, remember nothing else.
     fn do_post(&mut self, tid: TransferId) {
         let geom = self.geometry(tid);
-        let n = self.grid.len();
-        for p in 0..n {
-            if geom.bytes[p] > 0 {
-                self.clocks[p] += self.costs.post_recv_us;
-                self.cats[p].recv_s += self.costs.post_recv_us;
-                self.span_bytes[p] += geom.bytes[p];
-            }
-            self.dr_time[tid.index() * n + p] = self.clocks[p];
+        for &(p, b) in geom.recv.iter() {
+            self.clocks[p] += self.costs.post_recv_us;
+            self.cats[p].recv_s += self.costs.post_recv_us;
+            self.span_bytes[p] += b;
         }
+        let n = self.grid.len();
+        let row = tid.index() * n;
+        self.dr_time[row..row + n].copy_from_slice(&self.clocks);
         self.ready[tid.index()] = true;
     }
 
@@ -933,28 +1075,22 @@ impl<'p> Simulator<'p> {
         let n = self.grid.len();
         let row = tid.index() * n;
         self.ready[tid.index()] = true;
-        if !geom.active() {
-            // Record the per-proc DR clocks in place — no clock-vector
-            // clone, the slab row is preallocated.
-            self.dr_time[row..row + n].copy_from_slice(&self.clocks);
-            return;
-        }
         // The prototype's `synch` behaves like a barrier among all
         // processors of the mesh: every active instance joins the clocks.
         // Balanced stencil codes barely notice (their clocks agree);
         // wavefront-serialized sweeps (TOMCATV, SP) are forced to a
         // mesh-wide rendezvous at every data-moving row.
-        let max = self.clocks.iter().copied().fold(0.0_f64, f64::max);
-        let joined = max + self.costs.sync_us;
-        for p in 0..n {
-            if geom.exchanges(p) {
+        if geom.active() {
+            let max = self.clocks.iter().copied().fold(0.0_f64, f64::max);
+            let joined = max + self.costs.sync_us;
+            for &(p, b) in geom.partners.iter() {
                 self.cats[p].wait_s += max - self.clocks[p];
                 self.cats[p].sync_s += self.costs.sync_us;
-                self.span_bytes[p] += geom.bytes[p];
+                self.span_bytes[p] += b;
                 self.clocks[p] = joined;
             }
-            self.dr_time[row + p] = self.clocks[p];
         }
+        self.dr_time[row..row + n].copy_from_slice(&self.clocks);
     }
 
     fn do_recv(&mut self, tid: TransferId, kind: RecvKind, call: CallKind) -> Result<(), SimError> {
@@ -1021,10 +1157,11 @@ impl<'p> Simulator<'p> {
             return self.require_no_pending(tid, call);
         }
         let n = self.grid.len();
+        let mut receivers = geom.recv.iter().peekable();
         for p in 0..n {
             let mut t = self.clocks[p];
             // Only the receiving side has anything to wait for at DN.
-            let partnered = geom.bytes[p] > 0;
+            let partnered = receivers.next_if(|&&(q, _)| q == p).is_some();
             if let Some(fl) = &self.inflight[tid.index()] {
                 let b = fl.recv_bytes[p];
                 if b > 0 {
@@ -1166,11 +1303,12 @@ impl<'p> Simulator<'p> {
     /// transfer instance is structurally empty under the current
     /// environment. Otherwise the processors expecting data are stuck
     /// forever — reported as a typed deadlock naming each of them.
-    fn require_no_pending(&self, tid: TransferId, call: CallKind) -> Result<(), SimError> {
+    fn require_no_pending(&mut self, tid: TransferId, call: CallKind) -> Result<(), SimError> {
         let geom = self.geometry(tid);
-        let stuck: Vec<StuckCall> = (0..self.grid.len())
-            .filter(|&p| geom.bytes[p] > 0)
-            .map(|p| StuckCall {
+        let stuck: Vec<StuckCall> = geom
+            .recv
+            .iter()
+            .map(|&(p, _)| StuckCall {
                 proc: p,
                 call,
                 transfer: tid,
@@ -1853,6 +1991,161 @@ mod tests {
         let r = Simulator::new(&broken, SimConfig::full(t3d(), Library::Pvm, 4)).run();
         let a = r.array("A").unwrap();
         assert!(a.iter().any(|v| v.is_nan()), "stale ghosts must surface");
+    }
+
+    // ------------------------------------------------------------------
+    // Inspector cache keys: hand-built programs whose transfers collide
+    // if the shape key loses one of its parts.
+    // ------------------------------------------------------------------
+
+    /// The four IRONMAN calls of `t`, unpipelined.
+    fn quad(t: TransferId) -> Vec<Stmt> {
+        CallKind::QUAD
+            .iter()
+            .map(|&kind| Stmt::Comm { kind, transfer: t })
+            .collect()
+    }
+
+    /// The body of the program's first `repeat` or `for` loop.
+    fn loop_body(p: &mut Program) -> &mut Vec<Stmt> {
+        p.body
+            .0
+            .iter_mut()
+            .find_map(|s| match s {
+                Stmt::Repeat { body, .. } | Stmt::For { body, .. } => Some(&mut body.0),
+                _ => None,
+            })
+            .expect("program has a loop")
+    }
+
+    /// 8×8 arrays `A`, `B` (distinct values) and `C`, `D`; the loop body
+    /// reads `A@east` into `C` and `B@east` into `D` over the interior.
+    fn two_arrays(iters: u64) -> (Program, [commopt_ir::ArrayId; 4], Region) {
+        let mut b = ProgramBuilder::new("two-arrays");
+        let bounds = Rect::d2((1, 8), (1, 8));
+        let interior = Region::d2((2, 7), (2, 7));
+        let [a, bb, c, d] = b.arrays(["A", "B", "C", "D"], bounds);
+        let all = Region::from_rect(bounds);
+        b.assign(all, a, Expr::Index(0) * Expr::Const(10.0) + Expr::Index(1));
+        b.assign(all, bb, Expr::Index(1) * Expr::Const(-3.0) + Expr::Index(0));
+        b.repeat(iters, |b| {
+            b.assign(interior, c, Expr::at(a, compass::EAST));
+            b.assign(interior, d, Expr::at(bb, compass::EAST));
+        });
+        (b.finish(), [a, bb, c, d], interior)
+    }
+
+    #[test]
+    fn combined_transfer_charges_bytes_for_every_array() {
+        // `t_ab` carries A and B, `t_aa` carries A twice (its duplicate
+        // slabs are charged once). Both have the same distribution, offset
+        // and region, so only the array labels tell their shapes apart;
+        // `t_aa` runs first each iteration.
+        let (mut p, [a, bb, ..], interior) = two_arrays(3);
+        let item = |arr| commopt_ir::TransferItem::new(arr, compass::EAST, interior);
+        let t_aa = p.add_transfer(vec![item(a), item(a)]);
+        let t_ab = p.add_transfer(vec![item(a), item(bb)]);
+        let body = loop_body(&mut p);
+        body.splice(0..0, quad(t_aa).into_iter().chain(quad(t_ab)));
+        let r = Simulator::new(&p, SimConfig::timing(t3d(), Library::Pvm, 4)).run();
+        // 2×2 grid of 4×4 blocks: the two grid-column-0 processors each
+        // need column 5 over their 3 interior rows, 24 bytes per array.
+        // The counting processor (0) is one of them.
+        assert_eq!(r.transfers[&t_aa.0].bytes, 3 * 2 * 24);
+        assert_eq!(r.transfers[&t_ab.0].bytes, 3 * 2 * 48);
+        assert_eq!(r.bytes_received, 3 * (24 + 48));
+        assert_eq!(r.data_transfers, 3 * 2);
+    }
+
+    #[test]
+    fn row_loop_transfer_moves_bytes_only_on_boundary_rows() {
+        // `for i := 2..8 { [i, 1..8] A := X@north }` on a 2×2 grid of
+        // 4-row blocks: only row 5 reads across the block boundary.
+        let n = 8i64;
+        let mut b = ProgramBuilder::new("rows");
+        let bounds = Rect::d2((1, n), (1, n));
+        let [x, a] = b.arrays(["X", "A"], bounds);
+        b.assign(
+            Region::from_rect(bounds),
+            x,
+            Expr::Index(0) + Expr::Index(1),
+        );
+        let mut row = None;
+        b.for_up("i", 2, n, |b, i| {
+            row = Some(Region::row2(i, (1, n)));
+            b.assign(Region::row2(i, (1, n)), a, Expr::at(x, compass::NORTH));
+        });
+        let mut p = b.finish();
+        let item = commopt_ir::TransferItem::new(x, compass::NORTH, row.unwrap());
+        let t = p.add_transfer(vec![item]);
+        loop_body(&mut p).splice(0..0, quad(t));
+
+        let rec = crate::trace::Recorder::new();
+        let cfg = SimConfig::timing(t3d(), Library::Pvm, 4).with_trace(rec.clone());
+        let r = Simulator::new(&p, cfg).run();
+        assert_eq!(r.dynamic_comm, commopt_core::dynamic_count(&p));
+        assert_eq!(r.dynamic_comm, 7);
+        for proc in 0..4 {
+            let per_iter: Vec<u64> = rec
+                .events()
+                .iter()
+                .filter(|e| {
+                    e.proc == proc
+                        && matches!(
+                            e.kind,
+                            SpanKind::Comm {
+                                call: CallKind::DN,
+                                ..
+                            }
+                        )
+                })
+                .map(|e| e.bytes)
+                .collect();
+            // Rows i = 2..=8; grid-row-1 processors (2, 3) receive row 4
+            // over their 4 columns at i = 5.
+            let expect: Vec<u64> = (2..=n)
+                .map(|i| if i == 5 && proc >= 2 { 32 } else { 0 })
+                .collect();
+            assert_eq!(per_iter, expect, "proc {proc}");
+        }
+        let full = Simulator::new(&p, SimConfig::full(t3d(), Library::Pvm, 4)).run();
+        let reference = crate::seq::SeqInterp::run(&p);
+        assert_eq!(full.array("A"), reference.array("A"));
+    }
+
+    #[test]
+    fn full_mode_deposits_same_shape_transfers_into_their_own_arrays() {
+        // `t_a` moves A, `t_b` moves B: the same shape up to the array, so
+        // timing mode shares one inspected entry, but full mode must
+        // deposit each transfer's slabs into its own array.
+        let (mut p, [a, bb, ..], interior) = two_arrays(2);
+        let t_a = p.add_transfer(vec![commopt_ir::TransferItem::new(
+            a,
+            compass::EAST,
+            interior,
+        )]);
+        let t_b = p.add_transfer(vec![commopt_ir::TransferItem::new(
+            bb,
+            compass::EAST,
+            interior,
+        )]);
+        let body = loop_body(&mut p);
+        body.splice(1..1, quad(t_b));
+        body.splice(0..0, quad(t_a));
+        let reference = crate::seq::SeqInterp::run(&p);
+        for lib in [Library::Pvm, Library::Shmem] {
+            let r = Simulator::new(&p, SimConfig::full(t3d(), lib, 4)).run();
+            for name in ["C", "D"] {
+                assert_eq!(r.array(name), reference.array(name), "{lib:?}: {name}");
+            }
+        }
+        let entries = |cfg: SimConfig| {
+            let mut sim = Simulator::new(&p, cfg);
+            sim.exec_block(&p.body).unwrap();
+            sim.geoms.len()
+        };
+        assert_eq!(entries(SimConfig::timing(t3d(), Library::Pvm, 4)), 1);
+        assert_eq!(entries(SimConfig::full(t3d(), Library::Pvm, 4)), 2);
     }
 
     use commopt_ir::Program;
